@@ -52,7 +52,8 @@ pub struct PlainRun<'a> {
     pub lr: f32,
     /// Seed.
     pub seed: u64,
-    /// Evaluation cadence.
+    /// Evaluate every this many epochs (and always at the final epoch);
+    /// 0 evaluates at the final epoch only.
     pub eval_every: usize,
 }
 
@@ -140,7 +141,8 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
         opt.step(&mut store);
         epoch_time.stop();
 
-        if epoch % run.eval_every == 0 || epoch + 1 == run.epochs {
+        // `eval_every = 0` evaluates at the final epoch only.
+        if epoch.checked_rem(run.eval_every) == Some(0) || epoch + 1 == run.epochs {
             let val = eval_metric(
                 &run,
                 &encoder,

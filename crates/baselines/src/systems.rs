@@ -23,7 +23,8 @@ pub struct BaselineConfig {
     pub lr: f32,
     /// Seed.
     pub seed: u64,
-    /// Evaluation cadence.
+    /// Evaluate every this many epochs (and always at the final epoch);
+    /// 0 evaluates at the final epoch only.
     pub eval_every: usize,
 }
 
@@ -383,6 +384,18 @@ mod tests {
             r.test_metric
         );
         assert_eq!(r.system, "centralized");
+    }
+
+    #[test]
+    fn zero_eval_every_evaluates_at_the_final_epoch_only() {
+        // Regression: `eval_every = 0` used to panic with a remainder by
+        // zero on the first epoch.
+        let ds = Dataset::facebook_like(Scale::Smoke);
+        let mut c = cfg(TaskKind::Supervised).with_epochs(3);
+        c.eval_every = 0;
+        let r = run_centralized(&ds, &c);
+        let epochs: Vec<usize> = r.history.iter().map(|m| m.epoch).collect();
+        assert_eq!(epochs, vec![2]);
     }
 
     #[test]

@@ -65,61 +65,35 @@ impl BatchedTrees {
         self.mg.num_nodes
     }
 
-    /// POOL arrays `(leaves, vertices, coeff)` with every leaf owned by a
-    /// `dropped` device removed and the mean-pool coefficients renormalized
-    /// over the survivors — the semi-synchronous deadline's view of Eq. 31,
-    /// where late updates never reach the aggregation. A vertex whose every
-    /// contributor was dropped pools to zero (coefficient 0). With no drops
-    /// the original arrays are returned untouched (same `Rc`s), so the
-    /// default full-sync path is bit-identical.
-    pub fn masked_pool(&self, dropped: &[u32]) -> PoolArrays {
-        if dropped.is_empty() {
-            return PoolArrays {
-                leaves: self.pool_leaves.clone(),
-                vertices: self.pool_vertices.clone(),
-                coeff: self.pool_coeff.clone(),
-                owners: self.pool_owners.clone(),
-                leaf_weights: None,
-            };
-        }
-        let mut is_dropped = vec![false; self.num_vertices];
-        for &d in dropped {
-            is_dropped[d as usize] = true;
-        }
-        let mut leaves = Vec::with_capacity(self.pool_leaves.len());
-        let mut vertices = Vec::with_capacity(self.pool_vertices.len());
-        let mut owners = Vec::with_capacity(self.pool_owners.len());
-        let mut counts = vec![0u32; self.num_vertices];
-        for ((&leaf, &vertex), &owner) in self
-            .pool_leaves
-            .iter()
-            .zip(self.pool_vertices.iter())
-            .zip(self.pool_owners.iter())
-        {
-            if is_dropped[owner as usize] {
-                continue;
-            }
-            leaves.push(leaf);
-            vertices.push(vertex);
-            owners.push(owner);
-            counts[vertex as usize] += 1;
-        }
-        let coeff = counts
-            .iter()
-            .map(|&c| if c == 0 { 0.0 } else { 1.0 / c as f32 })
-            .collect();
+    /// The unmasked POOL arrays: every leaf at weight 1, sharing the
+    /// batch's own allocations.
+    pub fn full_pool(&self) -> PoolArrays {
         PoolArrays {
-            leaves: Rc::new(leaves),
-            vertices: Rc::new(vertices),
-            coeff: Rc::new(coeff),
-            owners: Rc::new(owners),
+            leaves: self.pool_leaves.clone(),
+            vertices: self.pool_vertices.clone(),
+            coeff: self.pool_coeff.clone(),
+            owners: self.pool_owners.clone(),
             leaf_weights: None,
         }
     }
 
+    /// POOL arrays `(leaves, vertices, coeff)` with every leaf owned by a
+    /// `dropped` device removed and the mean-pool coefficients renormalized
+    /// over the survivors — the semi-synchronous deadline's view of Eq. 31,
+    /// where late updates never reach the aggregation. A vertex whose every
+    /// contributor was dropped pools to zero (coefficient 0). This is
+    /// [`BatchedTrees::weighted_pool`] of the 0/1 weights: with no drops the
+    /// original arrays come back untouched (same `Rc`s).
+    pub fn masked_pool(&self, dropped: &[u32]) -> PoolArrays {
+        let mut weights = vec![1.0f32; self.num_vertices];
+        for &d in dropped {
+            weights[d as usize] = 0.0;
+        }
+        self.weighted_pool(&weights)
+    }
+
     /// POOL arrays with each device's contribution scaled by
-    /// `weights[owner]` — the staleness-weighted generalization of
-    /// [`BatchedTrees::masked_pool`] (Eq. 31 as a weighted mean): weight 0
+    /// `weights[owner]` (Eq. 31 as a weighted mean): weight 0
     /// removes a device's leaves exactly like a mask, a fractional weight
     /// scales each of its leaf rows before the scatter-add, and each
     /// vertex's mean coefficient renormalizes by the surviving weight sum.
@@ -128,8 +102,8 @@ impl BatchedTrees {
     ///
     /// Bit-compatibility: all-ones weights return the original arrays
     /// untouched (same `Rc`s), and a pure 0/1 mask produces integer-count
-    /// coefficients identical to `masked_pool` of the zero-weight set — so
-    /// the buffered policy with nothing buffered is bitwise the deadline.
+    /// coefficients and no per-leaf scale — so the buffered policy with
+    /// nothing buffered is bitwise the deadline.
     pub fn weighted_pool(&self, weights: &[f32]) -> PoolArrays {
         assert_eq!(weights.len(), self.num_vertices, "one weight per device");
         debug_assert!(
@@ -137,7 +111,7 @@ impl BatchedTrees {
             "pool weights must be finite and non-negative"
         );
         if weights.iter().all(|&w| w == 1.0) {
-            return self.masked_pool(&[]);
+            return self.full_pool();
         }
         let mut leaves = Vec::with_capacity(self.pool_leaves.len());
         let mut vertices = Vec::with_capacity(self.pool_vertices.len());

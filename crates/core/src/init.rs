@@ -42,46 +42,16 @@ pub fn exchange_features(
     rng: &mut Xoshiro256pp,
     net: &mut SimNetwork,
 ) -> LdpExchange {
-    let n = trees.len();
-    assert_eq!(features.len(), n * dim, "feature matrix shape mismatch");
-
-    // Recipient sets: u needs v's feature iff v is a retained neighbor in
-    // u's tree.
-    let mut recipients: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for tree in trees {
-        for &v in &tree.neighbors {
-            recipients[v as usize].push(tree.center);
-        }
+    let mut exchange = LdpExchange {
+        recovered: BTreeMap::new(),
+        messages: 0,
+    };
+    // Every pair is missing from an empty exchange; the round closes even
+    // when no device kept a neighbor.
+    if exchange_missing_features(features, dim, trees, epsilon, rng, net, &mut exchange) == 0 {
+        net.round();
     }
-
-    // Wire cost of one binned message: each transmitted element carries its
-    // 2-bit symbol plus a dimension index.
-    let index_bits = (usize::BITS - (dim.max(2) - 1).leading_zeros()) as u64;
-    let mut recovered = BTreeMap::new();
-    let mut messages = 0u64;
-    for v in 0..n as u32 {
-        let recv = &recipients[v as usize];
-        if recv.is_empty() {
-            continue;
-        }
-        let fan_out = recv.len();
-        let encoder = FeatureEncoder::new(epsilon, fan_out, dim, 0.0, 1.0);
-        let feature = &features[v as usize * dim..(v as usize + 1) * dim];
-        let msgs = encoder.encode_binned(feature, rng);
-        for (k, msg) in msgs.iter().enumerate() {
-            let u = recv[k];
-            let elems = msg.transmitted() as u64;
-            let bytes = (elems * (2 + index_bits)).div_ceil(8);
-            net.send(v, u, bytes);
-            messages += 1;
-            recovered.insert((u, v), encoder.recover(msg));
-        }
-    }
-    net.round();
-    LdpExchange {
-        recovered,
-        messages,
-    }
+    exchange
 }
 
 /// Top-up exchange for `(owner, neighbor)` pairs with no recovered estimate
@@ -103,6 +73,8 @@ pub fn exchange_missing_features(
 ) -> u64 {
     let n = trees.len();
     assert_eq!(features.len(), n * dim, "feature matrix shape mismatch");
+    // Recipient sets: u needs v's feature iff v is a retained neighbor in
+    // u's tree and u holds no estimate of it yet.
     let mut recipients: Vec<Vec<u32>> = vec![Vec::new(); n];
     for tree in trees {
         for &v in &tree.neighbors {
@@ -111,6 +83,8 @@ pub fn exchange_missing_features(
             }
         }
     }
+    // Wire cost of one binned message: each transmitted element carries its
+    // 2-bit symbol plus a dimension index.
     let index_bits = (usize::BITS - (dim.max(2) - 1).leading_zeros()) as u64;
     let mut messages = 0u64;
     for v in 0..n as u32 {

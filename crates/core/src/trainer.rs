@@ -5,12 +5,19 @@
 //! every tree with shared weights, POOL across devices (Eq. 31), loss
 //! computation (§VI-C), synchronized gradient update — with every
 //! inter-device message recorded on the federated runtime's ledger.
+//!
+//! `run_lumos` runs that pipeline as a sequence of named stages. A
+//! `RunSetup` builds everything fixed before the first round. Each round
+//! then runs the fault stage, the carry-over, the re-balancer and the
+//! policy probe, and folds their outcomes into one `RoundVerdict`. The
+//! POOL weights, the message accounting, the carry-over and the epoch
+//! close all read that verdict.
 
 use std::rc::Rc;
 
-use lumos_balance::{rebalance_assignment, BalanceObjective};
+use lumos_balance::{rebalance_assignment, Assignment, BalanceObjective};
 use lumos_common::rng::Xoshiro256pp;
-use lumos_data::{Dataset, EdgeSplit, NodeSplit};
+use lumos_data::{sample_non_edges, Dataset, EdgeSplit, NodeSplit};
 use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, TierSpec};
 use lumos_gnn::{
     accuracy_masked, cross_entropy_masked, link_logits, link_prediction_loss, roc_auc,
@@ -20,786 +27,890 @@ use lumos_graph::Graph;
 use lumos_tensor::{Adam, ParamStore, Tape, VarId};
 
 use lumos_sim::{
-    simulate_epoch, AggregationPolicy, DeviceProfile, DeviceWork, EventDrivenRuntime, FaultState,
+    AggregationPolicy, DeviceProfile, DeviceWork, EventDrivenRuntime, FaultPlan, FaultState,
     RoundPolicy, ScenarioState, StalenessBuffer,
 };
-use lumos_topo::{shard_late_with_staleness, ShardRoundPolicies, Topology};
+use lumos_topo::{ShardRoundPolicies, Topology};
 
 use crate::batch::{build_batched, BatchedTrees, PoolArrays};
 use crate::config::{LumosConfig, TaskKind};
 use crate::constructor::{construct_assignment, construct_assignment_sharded};
-use crate::init::{exchange_features, exchange_missing_features};
-use crate::report::{EpochMetrics, RunReport, SimSummary};
+use crate::init::{exchange_features, exchange_missing_features, LdpExchange};
+use crate::report::{ConstructorReport, EpochMetrics, RunReport, SimSummary};
 use crate::tree::{DeviceTree, LocalGraphKind};
-
-/// Paired endpoint lists of positive training edges.
-type PairLists = (Rc<Vec<u32>>, Rc<Vec<u32>>);
-
-/// Memoized late probe: the fleet it was simulated against and the
-/// `(device, staleness)` pairs the policy cut that round.
-type LateProbe = (Vec<lumos_sim::DeviceProfile>, Vec<(u32, u32)>);
 
 /// Embedding size of a pooled vertex message on the wire (16 f32 values).
 const EMBEDDING_BYTES: u64 = 16 * 4;
 
+/// A protocol send `(from, to, bytes)` held back for a later round.
+type DeferredSend = (u32, u32, u64);
+
+/// Memoized late probe: the fleet it was simulated against and the
+/// `(device, staleness)` pairs the policy cut that round.
+type LateProbe = (Vec<DeviceProfile>, Vec<(u32, u32)>);
+
 /// Runs the full Lumos system on a dataset and returns the report.
 pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
-    let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
-    let n = ds.num_nodes();
-
-    // Task-specific splits. Link prediction trains on the 80% train-edge
-    // graph; classification trains on the full graph with node masks.
-    let node_split;
-    let edge_split;
-    let train_graph: Graph = match cfg.task {
-        TaskKind::Supervised => {
-            node_split = Some(NodeSplit::uniform(n, &mut rng));
-            edge_split = None;
-            ds.graph.clone()
+    let mut run = RunSetup::new(ds, cfg);
+    let mut faults = FaultStage::new(&run);
+    let mut carry = CarryOver::new(&run);
+    let mut rebalancer = Rebalancer::default();
+    let mut probe = Probe::new(&run);
+    let mut best_val = 0.0f64;
+    for epoch in 0..cfg.epochs {
+        run.begin_round();
+        let plan = faults.compile_round(&mut run);
+        // Deferred protocol traffic from earlier rounds' parked devices
+        // lands in this epoch's ledger window — accounted in the round
+        // where it arrives, not the round where it was cut.
+        run.runtime.carry_in();
+        if rebalancer.step(&mut run) {
+            // The probe's template follows the migrated trees.
+            probe = Probe::new(&run);
         }
-        TaskKind::Unsupervised => {
-            let split = EdgeSplit::uniform(&ds.graph, &mut rng);
-            let g = split.train_graph(n);
-            edge_split = Some(split);
-            node_split = None;
-            g
-        }
-    };
-
-    // Fleet and runtime come up before the constructor so the VirtualSecs
-    // objective can price each device's tree nodes. The fleet draws from
-    // its own seed-derived RNG stream, so enabling a scenario changes
-    // timing statistics (and, under VirtualSecs, tree placement) only —
-    // never the trainer's stochastic streams.
-    let mut runtime = Runtime::new(n, CostModel::default());
-    runtime.set_embedding_bytes(EMBEDDING_BYTES);
-    let mut scenario = cfg.scenario.map(|s| ScenarioState::new(s, n, cfg.seed));
-    if let Some(state) = &scenario {
-        runtime.set_profiles(state.profiles().to_vec());
-    }
-    let enc_cfg = EncoderConfig::paper(cfg.backbone, ds.feature_dim);
-    let node_costs = match cfg.balance_objective {
-        BalanceObjective::TreeNodes => None,
-        // Without a scenario there are no profiles to price with, so this
-        // silently degenerates to the node-count objective.
-        BalanceObjective::VirtualSecs => {
-            runtime.node_costs_micros(enc_cfg.num_layers, EMBEDDING_BYTES)
-        }
-    };
-
-    // Aggregation topology (hierarchical mode). A single-aggregator tree
-    // resolves to the flat topology up front (`TopologyConfig::effective`),
-    // so `topology` is `Some` only with ≥ 2 real shards. Device→shard
-    // placement is cost-aware when per-device prices exist, seeded
-    // otherwise — and static thereafter: live re-balancing migrates tree
-    // nodes between devices, never devices between aggregators.
-    let topology: Option<Topology> =
-        cfg.topology
-            .effective(n)
-            .aggregators()
-            .map(|k| match node_costs.as_deref() {
-                Some(costs) => Topology::cost_balanced(costs, k),
-                None => Topology::seeded(n, k, cfg.seed),
+        let late = probe
+            .as_mut()
+            .map_or_else(Vec::new, |p| p.late(&run, plan.as_ref()));
+        let verdict = RoundVerdict::new(&run, plan.as_ref(), late);
+        let weights = verdict.pool_weights(&carry.buffer.advance(run.n));
+        let pool = run.forest.pool(weights);
+        // The round's tape lives until the round ends: dropped any earlier,
+        // its buffers go back to the OS before the accounting's allocations
+        // and are faulted in again next round (twice the system time).
+        let mut tape = Tape::new();
+        let loss = run.train_step(&mut tape, &pool);
+        let deferred = run.record_round_messages(&verdict);
+        carry.park(&mut run.runtime, &verdict.parked, &deferred);
+        run.close_round(plan, &verdict, epoch);
+        // `eval_every = 0` evaluates at the final epoch only.
+        if epoch.checked_rem(cfg.eval_every) == Some(0) || epoch + 1 == cfg.epochs {
+            let val_metric = run.evaluate(false);
+            best_val = best_val.max(val_metric);
+            run.report.history.push(EpochMetrics {
+                epoch,
+                loss,
+                val_metric,
             });
-    if let Some(topo) = &topology {
-        // The compact per-shard ledger replaces the per-edge matrix —
-        // memory stays O(devices + aggregators) — and the tier spec makes
-        // every profiled epoch's makespan run through the aggregators.
-        runtime.network = SimNetwork::new_sharded(topo.shard_vector());
-        runtime.set_tier(TierSpec {
-            topology: topo.clone(),
-            aggregator: DeviceProfile::baseline(),
-            partial_bytes: EMBEDDING_BYTES,
+        }
+    }
+    let test_metric = run.evaluate(true);
+    run.finish(test_metric, best_val, &faults, &carry, &rebalancer)
+}
+
+/// The task's split and loss inputs.
+enum Objective {
+    /// Node classification: labels, the train-node mask and the split.
+    Classify {
+        targets: Rc<Vec<u32>>,
+        mask: Rc<Vec<f32>>,
+        split: NodeSplit,
+    },
+    /// Link prediction: the positive training edges' endpoint lists and
+    /// the edge split.
+    Link {
+        src: Rc<Vec<u32>>,
+        dst: Rc<Vec<u32>>,
+        split: EdgeSplit,
+    },
+}
+
+impl Objective {
+    fn edge_split(&self) -> Option<&EdgeSplit> {
+        match self {
+            Objective::Link { split, .. } => Some(split),
+            Objective::Classify { .. } => None,
+        }
+    }
+}
+
+/// Everything fixed before the first round: the task split, the fleet and
+/// its runtime, the aggregation topology, the constructed trees with their
+/// LDP exchange and batch, the model, and the report shell.
+struct RunSetup<'a> {
+    ds: &'a Dataset,
+    cfg: &'a LumosConfig,
+    /// Fleet size: one device per vertex.
+    n: usize,
+    layers: usize,
+    rng: Xoshiro256pp,
+    objective: Objective,
+    runtime: Runtime,
+    scenario: Option<ScenarioState>,
+    /// `Some` only with ≥ 2 real shards.
+    topology: Option<Topology>,
+    /// The policy actually executed: `Buffered { decay: 0 }` resolves to
+    /// `Deadline` and a full-fleet `Async` quorum to `FullSync` up front,
+    /// so both bit-for-bit collapses hold by construction.
+    policy: AggregationPolicy,
+    assignment: Assignment,
+    forest: Forest,
+    store: ParamStore,
+    encoder: GnnEncoder,
+    /// The classification head (supervised runs only).
+    head: Option<LinearDecoder>,
+    opt: Adam,
+    report: RunReport,
+}
+
+impl<'a> RunSetup<'a> {
+    fn new(ds: &'a Dataset, cfg: &'a LumosConfig) -> Self {
+        let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
+        let n = ds.num_nodes();
+        // Link prediction trains on the 80% train-edge graph;
+        // classification trains on the full graph with node masks.
+        let (objective, train_graph) = match cfg.task {
+            TaskKind::Supervised => {
+                let split = NodeSplit::uniform(n, &mut rng);
+                let mask = split.train_mask.iter().map(|&b| if b { 1.0 } else { 0.0 });
+                let objective = Objective::Classify {
+                    targets: Rc::new(ds.labels.clone()),
+                    mask: Rc::new(mask.collect()),
+                    split,
+                };
+                (objective, ds.graph.clone())
+            }
+            TaskKind::Unsupervised => {
+                let split = EdgeSplit::uniform(&ds.graph, &mut rng);
+                let g = split.train_graph(n);
+                let objective = Objective::Link {
+                    src: Rc::new(split.train_edges.iter().map(|&(u, _)| u).collect()),
+                    dst: Rc::new(split.train_edges.iter().map(|&(_, v)| v).collect()),
+                    split,
+                };
+                (objective, g)
+            }
+        };
+
+        // Fleet and runtime come up before the constructor so the VirtualSecs
+        // objective can price each device's tree nodes. The fleet draws from
+        // its own seed-derived RNG stream, so enabling a scenario changes
+        // timing statistics (and, under VirtualSecs, tree placement) only —
+        // never the trainer's stochastic streams.
+        let mut runtime = Runtime::new(n, CostModel::default());
+        runtime.set_embedding_bytes(EMBEDDING_BYTES);
+        let scenario = cfg.scenario.map(|s| ScenarioState::new(s, n, cfg.seed));
+        if let Some(state) = &scenario {
+            runtime.set_profiles(state.profiles().to_vec());
+        }
+        let enc_cfg = EncoderConfig::paper(cfg.backbone, ds.feature_dim);
+        let node_costs = match cfg.balance_objective {
+            BalanceObjective::TreeNodes => None,
+            // Without a scenario there are no profiles to price with, so this
+            // silently degenerates to the node-count objective.
+            BalanceObjective::VirtualSecs => {
+                runtime.node_costs_micros(enc_cfg.num_layers, EMBEDDING_BYTES)
+            }
+        };
+
+        // Aggregation topology (hierarchical mode). A single-aggregator tree
+        // resolves to the flat topology up front (`TopologyConfig::effective`).
+        // Device→shard placement is cost-aware when per-device prices exist,
+        // seeded otherwise — and static thereafter: live re-balancing
+        // migrates tree nodes between devices, never devices between
+        // aggregators.
+        let topology: Option<Topology> =
+            cfg.topology
+                .effective(n)
+                .aggregators()
+                .map(|k| match node_costs.as_deref() {
+                    Some(costs) => Topology::cost_balanced(costs, k),
+                    None => Topology::seeded(n, k, cfg.seed),
+                });
+        if let Some(topo) = &topology {
+            // The compact per-shard ledger replaces the per-edge matrix —
+            // memory stays O(devices + aggregators) — and the tier spec makes
+            // every profiled epoch's makespan run through the aggregators.
+            runtime.network = SimNetwork::new_sharded(topo.shard_vector());
+            runtime.set_tier(TierSpec {
+                topology: topo.clone(),
+                aggregator: DeviceProfile::baseline(),
+                partial_bytes: EMBEDDING_BYTES,
+            });
+        }
+        let (assignment, constructor) =
+            construct(cfg, &train_graph, node_costs.as_deref(), topology.as_ref());
+
+        // Phase 2: LDP embedding initialization (§VI-A).
+        let trees = build_trees(cfg, &assignment);
+        let exchange = exchange_features(
+            &ds.features,
+            ds.feature_dim,
+            &trees,
+            cfg.epsilon,
+            &mut rng,
+            &mut runtime.network,
+        );
+        let batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
+        let mut report = RunReport::new("lumos", &ds.name, cfg.backbone.name(), cfg.task.name());
+        report.constructor = constructor;
+        report.init_messages = exchange.messages;
+
+        // Phase 3: model setup (§VIII-B hyperparameters).
+        let mut store = ParamStore::new();
+        let encoder = GnnEncoder::new(&mut store, &enc_cfg, &mut rng);
+        let head = (cfg.task == TaskKind::Supervised).then(|| {
+            LinearDecoder::new(
+                &mut store,
+                "head",
+                encoder.out_dim(),
+                ds.num_classes,
+                &mut rng,
+            )
         });
+        Self {
+            ds,
+            cfg,
+            n,
+            layers: enc_cfg.num_layers,
+            rng,
+            objective,
+            runtime,
+            scenario,
+            topology,
+            policy: cfg.aggregation_policy.resolve(n),
+            assignment,
+            forest: Forest {
+                trees,
+                exchange,
+                batch,
+                pool_memo: None,
+            },
+            store,
+            encoder,
+            head,
+            opt: Adam::new(cfg.lr),
+            report,
+        }
     }
 
-    // Phase 1: heterogeneity-aware tree constructor (§V); in hierarchical
-    // mode each shard balances independently inside its own secure lanes.
-    let (mut assignment, constructor) = match &topology {
-        Some(topo) => construct_assignment_sharded(
-            &train_graph,
-            cfg.tree_trimming,
-            cfg.mcmc_iterations,
-            cfg.security,
-            cfg.compare_backend,
-            cfg.seed,
-            node_costs.as_deref(),
-            topo,
-        ),
-        None => construct_assignment(
-            &train_graph,
-            cfg.tree_trimming,
-            cfg.mcmc_iterations,
-            cfg.security,
-            cfg.compare_backend,
-            cfg.seed,
-            node_costs.as_deref(),
-        ),
-    };
+    fn profiles(&self) -> Option<&[DeviceProfile]> {
+        self.scenario.as_ref().map(ScenarioState::profiles)
+    }
 
+    /// Whether policy-late updates park in the staleness buffer instead of
+    /// being dropped: `Buffered`, and the `Async` quorum, whose overflow
+    /// rides the buffer at decay 1.0 — both only with a scenario.
+    fn parks_late(&self) -> bool {
+        self.scenario.is_some()
+            && matches!(
+                self.policy,
+                AggregationPolicy::Buffered { .. } | AggregationPolicy::Async { .. }
+            )
+    }
+
+    /// Installs the live fleet on the runtime and opens the epoch's ledger
+    /// window.
+    fn begin_round(&mut self) {
+        if let Some(state) = &self.scenario {
+            self.runtime.set_profiles(state.profiles().to_vec());
+        }
+        self.runtime.begin_epoch();
+    }
+
+    /// Rebuilds the trees, the batch and the POOL memo after a migration.
+    /// Devices that just inherited a branch never held its leaves'
+    /// features: only the missing (owner, neighbor) pairs are topped up,
+    /// on this epoch's ledger.
+    fn rebuild_forest(&mut self) {
+        let trees = build_trees(self.cfg, &self.assignment);
+        let (ds, forest) = (self.ds, &mut self.forest);
+        exchange_missing_features(
+            &ds.features,
+            ds.feature_dim,
+            &trees,
+            self.cfg.epsilon,
+            &mut self.rng,
+            &mut self.runtime.network,
+            &mut forest.exchange,
+        );
+        forest.batch = build_batched(&trees, &ds.features, ds.feature_dim, &forest.exchange);
+        forest.trees = trees;
+        forest.pool_memo = None;
+    }
+
+    /// One dry-run epoch of protocol messages on a scratch ledger in the
+    /// live network's mode (a sharded ledger yields the aggregate inbound
+    /// schedule the real epochs run): the per-destination work whose
+    /// simulated timing the probe judges.
+    fn work_template(&self) -> Vec<DeviceWork> {
+        let mut net = match &self.topology {
+            Some(topo) => SimNetwork::new_sharded(topo.shard_vector()),
+            None => SimNetwork::new(self.n),
+        };
+        let snap = net.snapshot();
+        record_epoch_messages(
+            &mut net,
+            &RoundVerdict::everyone(self.n),
+            &self.forest.trees,
+            self.cfg,
+            self.objective.edge_split(),
+            self.topology.as_ref(),
+        );
+        ledger_work(&net, &snap, &self.forest.batch.tree_sizes, self.layers)
+    }
+
+    /// Accounts this round's protocol traffic on the live ledger and
+    /// returns the parked devices' captured sends.
+    fn record_round_messages(&mut self, verdict: &RoundVerdict) -> Vec<DeferredSend> {
+        record_epoch_messages(
+            &mut self.runtime.network,
+            verdict,
+            &self.forest.trees,
+            self.cfg,
+            self.objective.edge_split(),
+            self.topology.as_ref(),
+        )
+    }
+
+    /// Closes the epoch record on the verdict's cut, then advances the
+    /// fleet to the next round.
+    fn close_round(&mut self, plan: Option<FaultPlan>, verdict: &RoundVerdict, epoch: usize) {
+        // Hand the plan to the runtime so the epoch's own simulation
+        // replays the same crashes and retry chains the probe saw.
+        self.runtime.set_fault_plan(plan);
+        let sizes = &self.forest.batch.tree_sizes;
+        match self.policy {
+            // The async quorum: the epoch record's simulation closes the
+            // round at the `min_updates`-th landing, the overflow rides
+            // the staleness buffer, and nothing counts as dropped.
+            AggregationPolicy::Async { min_updates } if self.scenario.is_some() => {
+                let late = &verdict.late;
+                self.runtime
+                    .end_epoch_closing(sizes, self.layers, late, min_updates);
+            }
+            _ => {
+                self.runtime
+                    .end_epoch_dropping(sizes, self.layers, &verdict.late);
+            }
+        }
+        // Churn applies *between* rounds: the fleet after the last epoch is
+        // never simulated, so advancing there would overcount drops.
+        if epoch + 1 < self.cfg.epochs {
+            if let Some(state) = &mut self.scenario {
+                state.advance_round();
+            }
+        }
+    }
+
+    /// Forward pass over the batched forest followed by the POOL layer
+    /// (Eq. 31), gathered through `pool`: the round's
+    /// [`BatchedTrees::weighted_pool`] view while training, every leaf at
+    /// weight 1 for evaluation. Training with a topology pools tier by
+    /// tier; evaluation is offline and pools server-side, as one tier.
+    fn forward(&mut self, tape: &mut Tape, pool: &PoolArrays, training: bool) -> VarId {
+        let batch = &self.forest.batch;
+        let x = tape.constant(batch.features.clone());
+        let h_tree = self
+            .encoder
+            .forward(tape, &self.store, x, &batch.mg, training, &mut self.rng);
+        // Each tier is a contiguous device range, given by its end.
+        let tier_ends: Vec<u32> = match self.topology.as_ref().filter(|_| training) {
+            Some(topo) => topo.ranges().map(|(_, members)| members.end).collect(),
+            // One tier holding every device.
+            None => vec![u32::MAX],
+        };
+        pool_tiers(tape, h_tree, batch.num_vertices, pool, &tier_ends)
+    }
+
+    /// One synchronized training step on this round's POOL, recorded on
+    /// the round's `tape`: forward, the task loss (§VI-C), backward and the
+    /// optimizer update. Returns the loss.
+    fn train_step(&mut self, tape: &mut Tape, pool: &PoolArrays) -> f64 {
+        let h = self.forward(tape, pool, true);
+        let loss_var = match &self.objective {
+            Objective::Classify { targets, mask, .. } => {
+                let head = self.head.as_ref().expect("supervised head");
+                let logits = head.forward(tape, &self.store, h);
+                cross_entropy_masked(tape, logits, targets.clone(), mask.clone())
+            }
+            Objective::Link { src, dst, .. } => {
+                let negs = sample_non_edges(
+                    &self.ds.graph,
+                    src.len() * self.cfg.negatives_per_positive,
+                    &mut self.rng,
+                );
+                let neg_src: Rc<Vec<u32>> = Rc::new(negs.iter().map(|&(u, _)| u).collect());
+                let neg_dst: Rc<Vec<u32>> = Rc::new(negs.iter().map(|&(_, v)| v).collect());
+                let pos_logits = link_logits(tape, h, src.clone(), dst.clone());
+                let neg_logits = link_logits(tape, h, neg_src, neg_dst);
+                link_prediction_loss(tape, pos_logits, neg_logits)
+            }
+        };
+        let loss = tape.value(loss_var).item() as f64;
+        self.store.zero_grad();
+        let grads = tape.backward(loss_var);
+        tape.accumulate_param_grads(&grads, &mut self.store);
+        self.opt.step(&mut self.store);
+        loss
+    }
+
+    /// Evaluation on the validation or test split (no dropout). Evaluation
+    /// is offline: every device's embedding participates, and the pooling
+    /// runs server-side — no aggregation tier on the wire.
+    fn evaluate(&mut self, test: bool) -> f64 {
+        let mut tape = Tape::new();
+        let full_pool = self.forest.batch.full_pool();
+        let h = self.forward(&mut tape, &full_pool, false);
+        match &self.objective {
+            Objective::Classify { split, .. } => {
+                let mask = if test {
+                    &split.test_mask
+                } else {
+                    &split.val_mask
+                };
+                let head = self.head.as_ref().expect("supervised head");
+                let logits = head.forward(&mut tape, &self.store, h);
+                accuracy_masked(tape.value(logits), &self.ds.labels, mask)
+            }
+            Objective::Link { split, .. } => {
+                let (pos, neg) = if test {
+                    (&split.test_edges, &split.test_negatives)
+                } else {
+                    (&split.val_edges, &split.val_negatives)
+                };
+                let score = |pairs: &[(u32, u32)], tape: &mut Tape| -> Vec<f32> {
+                    let src: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(u, _)| u).collect());
+                    let dst: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(_, v)| v).collect());
+                    let z = link_logits(tape, h, src, dst);
+                    tape.value(z).data().to_vec()
+                };
+                let pos_scores = score(pos, &mut tape);
+                let neg_scores = score(neg, &mut tape);
+                roc_auc(&pos_scores, &neg_scores)
+            }
+        }
+    }
+
+    /// Seals the report: the test metric, the traffic and timing averages,
+    /// and the simulation summary when a scenario ran.
+    fn finish(
+        mut self,
+        test_metric: f64,
+        best_val: f64,
+        faults: &FaultStage,
+        carry: &CarryOver,
+        rebalancer: &Rebalancer,
+    ) -> RunReport {
+        let runtime = &self.runtime;
+        let sim = self.scenario.as_ref().map(|state| {
+            let recovery = faults.0.as_ref().map(FaultState::counters);
+            let recovery = recovery.cloned().unwrap_or_default();
+            SimSummary {
+                scenario: state.scenario().name().to_string(),
+                total_virtual_secs: runtime.total_sim_secs(),
+                avg_epoch_virtual_secs: runtime.avg_sim_epoch_secs(),
+                straggler_sequence: runtime.straggler_sequence(),
+                mean_utilization: runtime.mean_sim_utilization(),
+                dropped_device_rounds: state.dropped_device_rounds(),
+                late_drops: runtime.late_drops(),
+                buffered_updates: carry.buffer.total_buffered(),
+                // The deadline policy wastes its cuts even when fault
+                // recovery parks exhausted uploads.
+                wasted_updates: if self.parks_late() {
+                    0
+                } else {
+                    runtime.late_drops()
+                },
+                migrations: rebalancer.migrations,
+                migrated_nodes: rebalancer.migrated_nodes,
+                lost_messages: recovery.lost_messages,
+                retries: recovery.retries,
+                retry_secs: recovery.retry_secs,
+                crashed_devices: recovery.crashed_devices,
+                failovers: recovery.failovers,
+            }
+        });
+        let report = &mut self.report;
+        report.test_metric = test_metric;
+        report.best_val_metric = best_val;
+        report.avg_messages_per_device_per_epoch = runtime.avg_messages_per_device_per_epoch();
+        report.avg_epoch_secs = runtime.avg_epoch_wall_secs();
+        report.avg_epoch_makespan = runtime.avg_epoch_makespan();
+        report.sim = sim;
+        self.report
+    }
+}
+
+/// Phase 1: the heterogeneity-aware tree constructor (§V); in hierarchical
+/// mode each shard balances independently inside its own secure lanes.
+fn construct(
+    cfg: &LumosConfig,
+    g: &Graph,
+    node_costs: Option<&[u64]>,
+    topology: Option<&Topology>,
+) -> (Assignment, ConstructorReport) {
+    let (trim, iters, seed) = (cfg.tree_trimming, cfg.mcmc_iterations, cfg.seed);
+    let (security, backend) = (cfg.security, cfg.compare_backend);
+    match topology {
+        Some(topo) => {
+            construct_assignment_sharded(g, trim, iters, security, backend, seed, node_costs, topo)
+        }
+        None => construct_assignment(g, trim, iters, security, backend, seed, node_costs),
+    }
+}
+
+/// One tree per device from the constructor's kept-neighbor lists: the
+/// builder that setup and every migration share.
+fn build_trees(cfg: &LumosConfig, assignment: &Assignment) -> Vec<DeviceTree> {
     let kind = if cfg.virtual_nodes {
         LocalGraphKind::VirtualNodeTree
     } else {
         LocalGraphKind::RawEgoNetwork
     };
-    let mut trees: Vec<DeviceTree> = (0..n as u32)
+    (0..assignment.num_devices() as u32)
         .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
-        .collect();
+        .collect()
+}
 
-    // Phase 2: LDP embedding initialization (§VI-A).
-    let mut exchange = exchange_features(
-        &ds.features,
-        ds.feature_dim,
-        &trees,
-        cfg.epsilon,
-        &mut rng,
-        &mut runtime.network,
-    );
-    let init_messages = exchange.messages;
-    let mut batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
+/// The device trees, their LDP feature exchange and the batched forest
+/// built from both, plus the POOL memo: the last round's per-device
+/// weights and the arrays they built.
+struct Forest {
+    trees: Vec<DeviceTree>,
+    exchange: LdpExchange,
+    batch: BatchedTrees,
+    pool_memo: Option<(Vec<f32>, PoolArrays)>,
+}
 
-    // The policy actually executed: `Buffered { decay: 0 }` resolves to
-    // `Deadline` and a full-fleet `Async` quorum to `FullSync` up front,
-    // so both bit-for-bit collapses hold by construction.
-    let policy = cfg.aggregation_policy.resolve(n);
+impl Forest {
+    /// The POOL arrays for one round's per-device weights, rebuilt only
+    /// when the weights changed since the last round.
+    fn pool(&mut self, weights: Vec<f32>) -> PoolArrays {
+        if self.pool_memo.as_ref().is_none_or(|(w, _)| *w != weights) {
+            let pool = self.batch.weighted_pool(&weights);
+            self.pool_memo = Some((weights, pool));
+        }
+        self.pool_memo.as_ref().expect("memo just filled").1.clone()
+    }
+}
 
-    // Semi-sync probe: the per-round message pattern is static between
-    // migrations (same trees, same protocol every epoch), so one dry run of
-    // the recorder yields the per-destination DeviceWork whose simulated
-    // timing decides, each round, which updates would land past the
-    // deadline. Inert without a scenario — no profiles to time against.
-    let layers = enc_cfg.num_layers;
-    let build_template = |trees: &[DeviceTree], tree_sizes: &[usize]| -> Vec<DeviceWork> {
-        // The probe must mirror the live network's mode: a sharded ledger
-        // yields the aggregate inbound schedule the real epochs will run.
-        let mut probe = match &topology {
-            Some(topo) => SimNetwork::new_sharded(topo.shard_vector()),
-            None => SimNetwork::new(n),
-        };
-        let snap = probe.snapshot();
-        record_epoch_messages(
-            trees,
-            cfg,
-            &mut probe,
-            edge_split.as_ref(),
-            &[],
-            &[],
-            None,
-            topology.as_ref(),
-        );
-        ledger_work(&probe, &snap, tree_sizes, layers)
-    };
-    let mut work_template: Option<Vec<DeviceWork>> =
-        if policy != AggregationPolicy::FullSync && scenario.is_some() {
-            Some(build_template(&trees, &batch.tree_sizes))
-        } else {
-            None
-        };
+/// Seeded fault injection (strictly opt-in). The fault stream draws from
+/// its own domain-separated RNG, so enabling it never perturbs the
+/// trainer's or the fleet's stochastic streams — and it is inert without
+/// a scenario, because there are no profiles to crash or delay against.
+struct FaultStage(Option<FaultState>);
 
-    // Buffered-policy state: the staleness buffer holding late updates
-    // until their arrival round, and the re-balancer's per-device overload
-    // streaks. The async quorum reuses the whole buffering machinery at
-    // decay 1.0 — its overflow is carried, never discounted and never
-    // dropped — and additionally closes each round early at the quorum.
-    let buffered_decay = match policy {
-        AggregationPolicy::Buffered { decay, .. } => Some(decay),
-        AggregationPolicy::Async { .. } => Some(1.0),
-        _ => None,
-    };
-    let async_min = match policy {
-        AggregationPolicy::Async { min_updates } => Some(min_updates),
-        _ => None,
-    };
-    // Seeded fault injection (strictly opt-in): the fault stream draws
-    // from its own domain-separated RNG, so enabling it never perturbs
-    // the trainer's or the fleet's stochastic streams — and it is inert
-    // without a scenario, because there are no profiles to crash or
-    // delay against. Fault recovery rides the buffering machinery even
-    // under a non-buffering policy: an upload that exhausts its retry
-    // budget degrades into the staleness buffer at full weight and
-    // arrives one round late, instead of vanishing.
-    let mut faults: Option<FaultState> = (!cfg.faults.is_none() && scenario.is_some())
-        .then(|| FaultState::new(cfg.faults.clone(), cfg.recovery, cfg.seed));
-    let policy_buffering = buffered_decay.is_some() && scenario.is_some();
-    let buffering = policy_buffering || faults.is_some();
-    let mut staleness_buffer = StalenessBuffer::new(buffered_decay.unwrap_or(1.0));
-    let mut streaks: Vec<u32> = vec![0; n];
-    let mut migrations = 0u64;
-    let mut migrated_nodes = 0u64;
-
-    // Phase 3: model setup (§VIII-B hyperparameters).
-    let mut store = ParamStore::new();
-    let encoder = GnnEncoder::new(&mut store, &enc_cfg, &mut rng);
-    let decoder = match cfg.task {
-        TaskKind::Supervised => Some(LinearDecoder::new(
-            &mut store,
-            "head",
-            encoder.out_dim(),
-            ds.num_classes,
-            &mut rng,
-        )),
-        TaskKind::Unsupervised => None,
-    };
-    let mut opt = Adam::new(cfg.lr);
-
-    let mut report = RunReport::new("lumos", &ds.name, cfg.backbone.name(), cfg.task.name());
-    report.constructor = constructor;
-    report.init_messages = init_messages;
-
-    // Supervised target/mask buffers.
-    let targets = Rc::new(ds.labels.clone());
-    let train_mask: Option<Rc<Vec<f32>>> = node_split.as_ref().map(|s| {
-        Rc::new(
-            s.train_mask
-                .iter()
-                .map(|&b| if b { 1.0 } else { 0.0 })
-                .collect::<Vec<f32>>(),
+impl FaultStage {
+    fn new(run: &RunSetup) -> Self {
+        let cfg = run.cfg;
+        Self(
+            (!cfg.faults.is_none() && run.scenario.is_some())
+                .then(|| FaultState::new(cfg.faults.clone(), cfg.recovery, cfg.seed)),
         )
-    });
-    // Unsupervised positive pairs (training edges).
-    let pos_pairs: Option<PairLists> = edge_split.as_ref().map(|s| {
-        let src: Vec<u32> = s.train_edges.iter().map(|&(u, _)| u).collect();
-        let dst: Vec<u32> = s.train_edges.iter().map(|&(_, v)| v).collect();
-        (Rc::new(src), Rc::new(dst))
-    });
+    }
 
-    // Phase 4: synchronized training epochs.
-    let mut best_val = 0.0f64;
-    // Per-round memos: the probe is a pure function of (fleet, template)
-    // and the template is static between migrations, so re-simulate only
-    // when churn actually changed the fleet — and rebuild the POOL arrays
-    // only when the drop set (or the weight vector) itself changed.
-    let mut probe_cache: Option<LateProbe> = None;
-    let mut pool_cache: (Vec<u32>, PoolArrays) = (Vec::new(), batch.masked_pool(&[]));
-    let mut weight_cache: (Vec<f32>, PoolArrays) = (vec![1.0; n], pool_cache.1.clone());
-    for epoch in 0..cfg.epochs {
-        if let Some(state) = &scenario {
-            runtime.set_profiles(state.profiles().to_vec());
-        }
-        runtime.begin_epoch();
-        // Compile this round's fault outcomes before any traffic lands on
-        // the ledger: who crashes mid-round, whose upload exhausts its
-        // retry budget, and which aggregators sit inside an outage window
-        // (their shards re-home to the deterministic cyclic successor for
-        // the whole round — ledger routing and tier timing alike).
-        let round_plan = match (&mut faults, &scenario) {
-            (Some(fstate), Some(state)) => {
-                if let Some(topo) = &topology {
-                    let outaged = fstate.outaged_aggregators(topo.num_aggregators());
-                    let rehome = (!outaged.is_empty()).then(|| topo.failover_map(&outaged));
-                    if let Some(map) = &rehome {
-                        let served = map
-                            .iter()
-                            .enumerate()
-                            .filter(|&(k, &t)| t as usize != k)
-                            .count();
-                        fstate.note_failovers(served as u64);
-                    }
-                    runtime.network.set_rehome(rehome.clone());
-                    runtime.set_failover(rehome);
-                }
-                Some(fstate.compile_round(state.profiles()))
-            }
-            _ => None,
-        };
-        // Crashed devices lose the round entirely — their update never
-        // forms, like churn. Exhausted uploads survive: parked in the
-        // staleness buffer, they arrive next round instead.
-        let (crashed, exhausted) = match (&round_plan, &scenario) {
-            (Some(plan), Some(state)) => {
-                let avail: Vec<bool> = state.profiles().iter().map(|p| p.available).collect();
-                (plan.crashed_devices(&avail), plan.exhausted_uploads(&avail))
-            }
-            _ => (Vec::new(), Vec::new()),
-        };
-        if buffering {
-            // Deferred protocol traffic from earlier rounds' late devices
-            // lands in this epoch's ledger window — accounted in the round
-            // where it arrives, not the round where it was cut.
-            runtime.carry_in();
-        }
-        if policy_buffering {
-            // Live re-balancing: price the fleet as it stands (churn-absent
-            // devices cost UNAVAILABLE_COST_FACTOR× their nominal rate) and
-            // migrate tree nodes off devices whose per-node price stayed
-            // above `cfg.rebalance_threshold` × the fleet mean for
-            // `cfg.rebalance_patience` consecutive rounds.
-            if let Some(prices) = runtime.node_costs_micros(layers, EMBEDDING_BYTES) {
-                let mean =
-                    prices.iter().map(|&p| p as f64).sum::<f64>() / prices.len().max(1) as f64;
-                let mut overloaded: Vec<u32> = Vec::new();
-                for (d, &p) in prices.iter().enumerate() {
-                    if p as f64 > cfg.rebalance_threshold * mean {
-                        streaks[d] += 1;
-                        if streaks[d] >= cfg.rebalance_patience {
-                            overloaded.push(d as u32);
-                        }
-                    } else {
-                        streaks[d] = 0;
-                    }
-                }
-                if !overloaded.is_empty() {
-                    let outcome = rebalance_assignment(&mut assignment, &prices, &overloaded);
-                    for &d in &overloaded {
-                        streaks[d as usize] = 0;
-                    }
-                    if outcome.moved_nodes > 0 {
-                        migrations += 1;
-                        migrated_nodes += outcome.moved_nodes as u64;
-                        trees = (0..n as u32)
-                            .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
-                            .collect();
-                        // Devices that just inherited a branch never held
-                        // its leaves' features: top up only the missing
-                        // (owner, neighbor) pairs, on this epoch's ledger.
-                        exchange_missing_features(
-                            &ds.features,
-                            ds.feature_dim,
-                            &trees,
-                            cfg.epsilon,
-                            &mut rng,
-                            &mut runtime.network,
-                            &mut exchange,
-                        );
-                        batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
-                        work_template = Some(build_template(&trees, &batch.tree_sizes));
-                        probe_cache = None;
-                        pool_cache = (Vec::new(), batch.masked_pool(&[]));
-                        weight_cache = (vec![1.0; n], pool_cache.1.clone());
-                    }
-                }
-            }
-        }
-        // Probe this round's timing on the live fleet: devices whose
-        // updates land past the deadline leave the barrier — dropped
-        // forever under `Deadline`, parked in the staleness buffer until
-        // their arrival round under `Buffered`.
-        let late_staleness: Vec<(u32, u32)> = match (&work_template, &scenario) {
-            (Some(template), Some(state)) => {
-                // A fault plan changes every round even on a frozen
-                // fleet, so the memo only holds on fault-free rounds.
-                let stale = round_plan.is_some()
-                    || probe_cache
-                        .as_ref()
-                        .is_none_or(|(fleet, _)| fleet.as_slice() != state.profiles());
-                if stale {
-                    // The round's decisions happen at event granularity:
-                    // the policy's arrival-time handlers subscribe to the
-                    // scheduled event stream and judge each update as it
-                    // lands (hierarchical mode routes events to per-shard
-                    // handlers, each cutting against its own local
-                    // median). The retired lockstep probe survives as a
-                    // bisection aid behind `cfg.lockstep_runtime` — both
-                    // paths are bit-identical by construction.
-                    // The lockstep probe predates fault injection and
-                    // cannot see a plan; faulted rounds always run the
-                    // event-driven path.
-                    let lates = if cfg.lockstep_runtime && round_plan.is_none() {
-                        let timing = simulate_epoch(state.profiles(), template);
-                        match &topology {
-                            Some(topo) => shard_late_with_staleness(&policy, &timing, topo),
-                            None => policy.late_with_staleness(&timing),
-                        }
-                    } else {
-                        let schedule = EventDrivenRuntime::new_with_faults(
-                            state.profiles(),
-                            template,
-                            round_plan.as_ref(),
-                        );
-                        match &topology {
-                            Some(topo) => {
-                                let mut shards = ShardRoundPolicies::new(&policy, &schedule, topo);
-                                schedule.run(|t, ev| shards.on_event(t, ev));
-                                shards.verdicts()
-                            }
-                            None => {
-                                let mut round = RoundPolicy::new(&policy, &schedule);
-                                schedule.run(|t, ev| round.on_event(t, ev));
-                                round.verdicts()
-                            }
-                        }
-                    };
-                    probe_cache = Some((state.profiles().to_vec(), lates));
-                }
-                probe_cache.as_ref().expect("probe just cached").1.clone()
-            }
-            _ => Vec::new(),
-        };
-        let late: Vec<u32> = late_staleness.iter().map(|&(d, _)| d).collect();
-        // Churn makes absent devices actually absent: they send no
-        // protocol messages and their embeddings leave the POOL for the
-        // rounds they sit out.
-        let absent: Vec<u32> = match &scenario {
-            Some(state) => state
-                .profiles()
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.available)
-                .map(|(d, _)| d as u32)
-                .collect(),
-            None => Vec::new(),
-        };
-        let pool: PoolArrays = if buffering {
-            // Weighted POOL: absent and late devices contribute nothing
-            // this round; buffered updates blend back in at
-            // `decay^staleness` in the round they arrive — even if their
-            // sender is late or absent again (the update already landed).
-            let arrivals = staleness_buffer.advance(n);
-            let mut weights = vec![1.0f32; n];
-            for &d in absent.iter().chain(&crashed) {
-                weights[d as usize] = 0.0;
-            }
-            for &d in late.iter().chain(&exhausted) {
-                weights[d as usize] = 0.0;
-            }
-            for (d, w) in arrivals.iter().enumerate() {
-                weights[d] += *w as f32;
-            }
-            if weights != weight_cache.0 {
-                weight_cache = (weights.clone(), batch.weighted_pool(&weights));
-            }
-            weight_cache.1.clone()
-        } else {
-            let mut dropped: Vec<u32> = absent.iter().chain(late.iter()).copied().collect();
-            dropped.sort_unstable();
-            dropped.dedup();
-            if dropped != pool_cache.0 {
-                pool_cache = (dropped.clone(), batch.masked_pool(&dropped));
-            }
-            pool_cache.1.clone()
-        };
-        let mut tape = Tape::new();
-        let h = forward_pooled(
-            &mut tape,
-            &store,
-            &encoder,
-            &batch,
-            true,
-            &mut rng,
-            &pool,
-            topology.as_ref(),
-        );
-
-        let loss_var: VarId = match cfg.task {
-            TaskKind::Supervised => {
-                let dec = decoder.as_ref().expect("supervised head");
-                let logits = dec.forward(&mut tape, &store, h);
-                cross_entropy_masked(
-                    &mut tape,
-                    logits,
-                    targets.clone(),
-                    train_mask.clone().expect("supervised mask"),
-                )
-            }
-            TaskKind::Unsupervised => {
-                let (src, dst) = pos_pairs.clone().expect("unsupervised pairs");
-                let negs = lumos_data::sample_non_edges(
-                    &ds.graph,
-                    src.len() * cfg.negatives_per_positive,
-                    &mut rng,
-                );
-                let neg_src: Rc<Vec<u32>> = Rc::new(negs.iter().map(|&(u, _)| u).collect());
-                let neg_dst: Rc<Vec<u32>> = Rc::new(negs.iter().map(|&(_, v)| v).collect());
-                let pos_logits = link_logits(&mut tape, h, src, dst);
-                let neg_logits = link_logits(&mut tape, h, neg_src, neg_dst);
-                link_prediction_loss(&mut tape, pos_logits, neg_logits)
-            }
-        };
-        let loss = tape.value(loss_var).item() as f64;
-
-        store.zero_grad();
-        let grads = tape.backward(loss_var);
-        tape.accumulate_param_grads(&grads, &mut store);
-        opt.step(&mut store);
-
-        // Protocol message accounting for this epoch (§VI-B/C); devices
-        // dropped by the deadline and devices churned out contribute no
-        // messages and do not gate the simulated barrier. Under the
-        // buffered policy the late devices' silenced sends are collected
-        // and re-injected `staleness` rounds later by `carry_in`.
-        let mut late_sends: Vec<(u32, u32, u64)> = Vec::new();
-        // Crashed devices lose the round outright — like churn, they send
-        // nothing now or later. Exhausted uploads are parked: silenced on
-        // this round's ledger but captured for re-injection one round
-        // later. Policy-late devices park only when the policy buffers;
-        // the deadline policy genuinely drops them even under faults.
-        let mut dropped_now: Vec<u32> = absent.iter().chain(&crashed).copied().collect();
-        let mut parked: Vec<u32> = exhausted.clone();
-        if policy_buffering {
-            parked.extend(late.iter().copied());
-        } else {
-            dropped_now.extend(late.iter().copied());
-        }
-        record_epoch_messages(
-            &trees,
-            cfg,
-            &mut runtime.network,
-            edge_split.as_ref(),
-            &parked,
-            &dropped_now,
-            if buffering {
-                Some(&mut late_sends)
-            } else {
-                None
-            },
-            topology.as_ref(),
-        );
-        if buffering {
-            if policy_buffering {
-                for &(d, s) in &late_staleness {
-                    staleness_buffer.push(d, s);
-                    let sends: Vec<(u32, u32, u64)> = late_sends
-                        .iter()
-                        .filter(|&&(from, _, _)| from == d)
-                        .copied()
-                        .collect();
-                    runtime.defer_sends(s, sends);
-                }
-            }
-            // A send that ran out its retry budget degrades — it arrives
-            // one round late (modulo the policy's staleness decay) — but
-            // never disappears.
-            for &d in &exhausted {
-                staleness_buffer.push(d, 1);
-                let sends: Vec<(u32, u32, u64)> = late_sends
+    /// Compiles this round's fault outcomes before any traffic lands on
+    /// the ledger: who crashes mid-round, whose upload exhausts its retry
+    /// budget, and which aggregators sit inside an outage window (their
+    /// shards re-home to the deterministic cyclic successor for the whole
+    /// round — ledger routing and tier timing alike).
+    fn compile_round(&mut self, run: &mut RunSetup) -> Option<FaultPlan> {
+        let (fstate, state) = (self.0.as_mut()?, run.scenario.as_ref()?);
+        if let Some(topo) = &run.topology {
+            let outaged = fstate.outaged_aggregators(topo.num_aggregators());
+            let rehome = (!outaged.is_empty()).then(|| topo.failover_map(&outaged));
+            if let Some(map) = &rehome {
+                let served = map
                     .iter()
-                    .filter(|&&(from, _, _)| from == d)
-                    .copied()
-                    .collect();
-                runtime.defer_sends(1, sends);
+                    .enumerate()
+                    .filter(|&(k, &t)| t as usize != k)
+                    .count();
+                fstate.note_failovers(served as u64);
             }
+            run.runtime.network.set_rehome(rehome.clone());
+            run.runtime.set_failover(rehome);
         }
-        // Hand the plan to the runtime so the epoch's own simulation
-        // replays the same crashes and retry chains the probe saw.
-        runtime.set_fault_plan(round_plan);
-        match async_min {
-            // The async quorum: the epoch record's simulation closes the
-            // round at the `min_updates`-th landing, the overflow rides
-            // the staleness buffer, and nothing counts as dropped.
-            Some(min_updates) if scenario.is_some() => {
-                runtime.end_epoch_closing(
-                    &batch.tree_sizes,
-                    encoder.num_layers(),
-                    &late,
-                    min_updates,
-                );
-            }
-            _ => {
-                runtime.end_epoch_dropping(&batch.tree_sizes, encoder.num_layers(), &late);
-            }
-        }
-        // Churn applies *between* rounds: the fleet after the last epoch is
-        // never simulated, so advancing there would overcount drops.
-        if epoch + 1 < cfg.epochs {
-            if let Some(state) = &mut scenario {
-                state.advance_round();
-            }
-        }
+        Some(fstate.compile_round(state.profiles()))
+    }
+}
 
-        // Periodic validation.
-        if epoch % cfg.eval_every == 0 || epoch + 1 == cfg.epochs {
-            let val = evaluate(
-                &store,
-                &encoder,
-                decoder.as_ref(),
-                &batch,
-                ds,
-                cfg,
-                node_split.as_ref(),
-                edge_split.as_ref(),
-                false,
-                &mut rng,
-            );
-            best_val = best_val.max(val);
-            report.history.push(EpochMetrics {
-                epoch,
-                loss,
-                val_metric: val,
-            });
+/// The carry-over: parked updates wait in the staleness buffer until their
+/// arrival round, and their senders' silenced protocol sends wait on the
+/// runtime for the same number of rounds. The async quorum parks at decay
+/// 1.0 — its overflow is carried, never discounted and never dropped —
+/// and fault recovery parks under every policy: an upload that exhausts
+/// its retry budget arrives one round late instead of vanishing.
+struct CarryOver {
+    buffer: StalenessBuffer,
+}
+
+impl CarryOver {
+    fn new(run: &RunSetup) -> Self {
+        let decay = match run.policy {
+            AggregationPolicy::Buffered { decay, .. } => decay,
+            _ => 1.0,
+        };
+        Self {
+            buffer: StalenessBuffer::new(decay),
         }
     }
 
-    // Phase 5: test metric.
-    report.test_metric = evaluate(
-        &store,
-        &encoder,
-        decoder.as_ref(),
-        &batch,
-        ds,
-        cfg,
-        node_split.as_ref(),
-        edge_split.as_ref(),
-        true,
-        &mut rng,
-    );
-    report.best_val_metric = best_val;
-    report.avg_messages_per_device_per_epoch = runtime.avg_messages_per_device_per_epoch();
-    report.avg_epoch_secs = runtime.avg_epoch_wall_secs();
-    report.avg_epoch_makespan = runtime.avg_epoch_makespan();
-    if let Some(state) = &scenario {
-        let recovery = faults
-            .as_ref()
-            .map(|f| f.counters().clone())
-            .unwrap_or_default();
-        report.sim = Some(SimSummary {
-            scenario: state.scenario().name().to_string(),
-            total_virtual_secs: runtime.total_sim_secs(),
-            avg_epoch_virtual_secs: runtime.avg_sim_epoch_secs(),
-            straggler_sequence: runtime.straggler_sequence(),
-            mean_utilization: runtime.mean_sim_utilization(),
-            dropped_device_rounds: state.dropped_device_rounds(),
-            late_drops: runtime.late_drops(),
-            buffered_updates: if buffering {
-                staleness_buffer.total_buffered()
+    /// Parks each `(device, staleness)` update and defers that device's
+    /// captured sends by the same number of rounds.
+    fn park(&mut self, runtime: &mut Runtime, parked: &[(u32, u32)], deferred: &[DeferredSend]) {
+        for &(d, staleness) in parked {
+            self.buffer.push(d, staleness);
+            let sends = deferred
+                .iter()
+                .filter(|&&(from, _, _)| from == d)
+                .copied()
+                .collect();
+            runtime.defer_sends(staleness, sends);
+        }
+    }
+}
+
+/// Live re-balancing (parking policies only): price the fleet as it stands
+/// (churn-absent devices cost `UNAVAILABLE_COST_FACTOR ×` their nominal
+/// rate) and migrate tree nodes off devices whose per-node price stayed
+/// above `cfg.rebalance_threshold ×` the fleet mean for
+/// `cfg.rebalance_patience` consecutive rounds.
+#[derive(Default)]
+struct Rebalancer {
+    /// Consecutive overpriced rounds per device.
+    streaks: Vec<u32>,
+    migrations: u64,
+    migrated_nodes: u64,
+}
+
+impl Rebalancer {
+    /// Runs this round's trigger; true when tree nodes moved and the
+    /// forest was rebuilt.
+    fn step(&mut self, run: &mut RunSetup) -> bool {
+        let cfg = run.cfg;
+        if !run.parks_late() {
+            return false;
+        }
+        let Some(prices) = run.runtime.node_costs_micros(run.layers, EMBEDDING_BYTES) else {
+            return false;
+        };
+        self.streaks.resize(prices.len(), 0);
+        let mean = prices.iter().map(|&p| p as f64).sum::<f64>() / prices.len().max(1) as f64;
+        let mut overloaded: Vec<u32> = Vec::new();
+        for (d, &p) in prices.iter().enumerate() {
+            if p as f64 > cfg.rebalance_threshold * mean {
+                self.streaks[d] += 1;
+                if self.streaks[d] >= cfg.rebalance_patience {
+                    overloaded.push(d as u32);
+                }
             } else {
-                0
-            },
-            // The deadline policy wastes its cuts even when fault
-            // recovery has the buffering machinery switched on.
-            wasted_updates: if policy_buffering {
-                0
-            } else {
-                runtime.late_drops()
-            },
-            migrations,
-            migrated_nodes,
-            lost_messages: recovery.lost_messages,
-            retries: recovery.retries,
-            retry_secs: recovery.retry_secs,
-            crashed_devices: recovery.crashed_devices,
-            failovers: recovery.failovers,
+                self.streaks[d] = 0;
+            }
+        }
+        if overloaded.is_empty() {
+            return false;
+        }
+        let outcome = rebalance_assignment(&mut run.assignment, &prices, &overloaded);
+        for &d in &overloaded {
+            self.streaks[d as usize] = 0;
+        }
+        if outcome.moved_nodes == 0 {
+            return false;
+        }
+        self.migrations += 1;
+        self.migrated_nodes += outcome.moved_nodes as u64;
+        run.rebuild_forest();
+        true
+    }
+}
+
+/// The semi-sync probe. The per-round message pattern is static between
+/// migrations (same trees, same protocol every epoch), so one dry run of
+/// the recorder yields the per-destination work whose simulated timing
+/// decides, each round, which updates land past the deadline. It exists
+/// only for a cutting policy with a scenario: without profiles there is
+/// nothing to time against.
+struct Probe {
+    template: Vec<DeviceWork>,
+    memo: Option<LateProbe>,
+}
+
+impl Probe {
+    fn new(run: &RunSetup) -> Option<Self> {
+        (run.policy != AggregationPolicy::FullSync && run.scenario.is_some()).then(|| Self {
+            template: run.work_template(),
+            memo: None,
+        })
+    }
+
+    /// This round's late devices with their staleness. The decisions happen
+    /// at event granularity: the policy's arrival-time handlers subscribe
+    /// to the scheduled event stream and judge each update as it lands
+    /// (hierarchical mode routes events to per-shard handlers, each cutting
+    /// against its own local median). The verdicts are a pure function of
+    /// (fleet, template, fault plan), so they are re-simulated only when
+    /// churn changed the fleet — or on every faulted round, because a fault
+    /// plan changes every round even on a frozen fleet.
+    fn late(&mut self, run: &RunSetup, plan: Option<&FaultPlan>) -> Vec<(u32, u32)> {
+        let profiles = run.profiles().expect("the probe runs only with a scenario");
+        let stale = plan.is_some()
+            || self
+                .memo
+                .as_ref()
+                .is_none_or(|(fleet, _)| fleet.as_slice() != profiles);
+        if stale {
+            let schedule = EventDrivenRuntime::new_with_faults(profiles, &self.template, plan);
+            let late = match &run.topology {
+                Some(topo) => {
+                    let mut shards = ShardRoundPolicies::new(&run.policy, &schedule, topo);
+                    schedule.run(|t, ev| shards.on_event(t, ev));
+                    shards.verdicts()
+                }
+                None => {
+                    let mut round = RoundPolicy::new(&run.policy, &schedule);
+                    schedule.run(|t, ev| round.on_event(t, ev));
+                    round.verdicts()
+                }
+            };
+            self.memo = Some((profiles.to_vec(), late));
+        }
+        self.memo.as_ref().expect("probe just cached").1.clone()
+    }
+}
+
+/// What becomes of one device's round update.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// Pooled this round; the device's protocol sends go on the ledger.
+    Pooled,
+    /// Lost for good: the device sends nothing, now or later.
+    Dropped,
+    /// Parked in the staleness buffer: silenced on this round's ledger,
+    /// its sends captured for re-injection in the arrival round.
+    Parked,
+}
+
+/// Who takes part in one round, computed once from the fleet, the fault
+/// plan and the probe.
+struct RoundVerdict {
+    /// Per device.
+    fates: Vec<Fate>,
+    /// Parked updates as `(device, rounds in flight)`: the policy-late
+    /// devices when the policy parks them, then every exhausted upload at
+    /// one round.
+    parked: Vec<(u32, u32)>,
+    /// Policy-late devices: the cut the epoch close applies.
+    late: Vec<u32>,
+}
+
+impl RoundVerdict {
+    /// Every device takes part: the probe's dry-run round.
+    fn everyone(n: usize) -> Self {
+        Self {
+            fates: vec![Fate::Pooled; n],
+            parked: Vec::new(),
+            late: Vec::new(),
+        }
+    }
+
+    fn new(run: &RunSetup, plan: Option<&FaultPlan>, late: Vec<(u32, u32)>) -> Self {
+        // Churn makes absent devices actually absent: they send no protocol
+        // messages and their embeddings leave the POOL for the rounds they
+        // sit out.
+        let avail: Vec<bool> = run.profiles().map_or_else(
+            || vec![true; run.n],
+            |fleet| fleet.iter().map(|p| p.available).collect(),
+        );
+        // Crashed devices lose the round outright, like churn. Exhausted
+        // uploads are parked and arrive one round late.
+        let (crashed, exhausted) = plan.map_or_else(Default::default, |p| {
+            (p.crashed_devices(&avail), p.exhausted_uploads(&avail))
         });
-    }
-    report
-}
-
-/// Forward pass over the batched forest followed by the POOL layer
-/// (Eq. 31): mean of all leaf embeddings per global vertex, gathered
-/// through `pool` — the batch's full arrays, a
-/// [`BatchedTrees::masked_pool`] view with dropped devices excluded, or a
-/// [`BatchedTrees::weighted_pool`] view with per-device staleness weights.
-/// With a topology the POOL runs tier by tier ([`tiered_pool`]); flat mode
-/// keeps the seed op sequence — and therefore its bitstream — untouched.
-#[allow(clippy::too_many_arguments)]
-fn forward_pooled(
-    tape: &mut Tape,
-    store: &ParamStore,
-    encoder: &GnnEncoder,
-    batch: &BatchedTrees,
-    training: bool,
-    rng: &mut Xoshiro256pp,
-    pool: &PoolArrays,
-    topo: Option<&Topology>,
-) -> VarId {
-    let x = tape.constant(batch.features.clone());
-    let h_tree = encoder.forward(tape, store, x, &batch.mg, training, rng);
-    if let Some(topo) = topo {
-        if let Some(h) = tiered_pool(tape, h_tree, batch.num_vertices, pool, topo) {
-            return h;
+        // Policy-late devices park only when the policy buffers; the
+        // deadline policy genuinely drops them, even under faults.
+        let parked_late: &[(u32, u32)] = if run.parks_late() { &late } else { &[] };
+        let parked: Vec<(u32, u32)> = parked_late
+            .iter()
+            .copied()
+            .chain(exhausted.iter().map(|&d| (d, 1)))
+            .collect();
+        let mut fates: Vec<Fate> = avail
+            .iter()
+            .map(|&a| if a { Fate::Pooled } else { Fate::Dropped })
+            .collect();
+        for &d in crashed.iter().chain(late.iter().map(|(d, _)| d)) {
+            fates[d as usize] = Fate::Dropped;
+        }
+        for &(d, _) in &parked {
+            fates[d as usize] = Fate::Parked;
+        }
+        Self {
+            fates,
+            parked,
+            late: late.iter().map(|&(d, _)| d).collect(),
         }
     }
-    let mut leaves = tape.gather_rows(h_tree, pool.leaves.clone());
-    // Fractional staleness weights insert one extra per-leaf scale between
-    // gather and scatter; uniform pools skip it, keeping the default op
-    // sequence — and therefore its float results — untouched.
-    if let Some(w) = &pool.leaf_weights {
-        leaves = tape.scale_rows(leaves, w.clone());
+
+    /// The round's per-device POOL weights: only pooled devices contribute,
+    /// and buffered updates blend back in at `decay^staleness` in the round
+    /// they arrive — even if their sender is out again (the update already
+    /// landed).
+    fn pool_weights(&self, arrivals: &[f64]) -> Vec<f32> {
+        let fresh = |f: &Fate| if *f == Fate::Pooled { 1.0f32 } else { 0.0 };
+        self.fates
+            .iter()
+            .zip(arrivals)
+            .map(|(f, &a)| fresh(f) + a as f32)
+            .collect()
     }
-    let summed = tape.scatter_add_rows(leaves, pool.vertices.clone(), batch.num_vertices);
-    tape.scale_rows(summed, pool.coeff.clone())
+
+    /// Whether `from`'s message to `to` goes on the live ledger now. A
+    /// parked sender's message is captured into `deferred` instead.
+    fn admits(&self, from: u32, to: u32, deferred: &mut Vec<DeferredSend>) -> bool {
+        match self.fates[from as usize] {
+            Fate::Pooled => true,
+            Fate::Dropped => false,
+            Fate::Parked => {
+                deferred.push((from, to, EMBEDDING_BYTES));
+                false
+            }
+        }
+    }
 }
 
-/// The hierarchical POOL: each aggregator scatter-adds its own members'
-/// (optionally staleness-scaled) leaf rows into a local partial, the
-/// server sums the K partials, and the per-vertex mean coefficients
-/// normalize once at the top — Eq. 31 evaluated tier by tier. The shard
-/// slices come straight off the pool arrays: trees are laid out in device
-/// order, so an aggregator's leaves are one contiguous run of `owners`.
-/// Returns `None` when no shard holds a surviving leaf; the caller's flat
-/// sequence then pools the empty arrays to zero exactly as before.
-fn tiered_pool(
+/// The POOL (Eq. 31) evaluated tier by tier. Each tier — an aggregator's
+/// members, or one tier holding every device — gathers its members'
+/// (optionally staleness-scaled) leaf rows and scatter-adds them into a
+/// partial; the server sums the partials, and the per-vertex mean
+/// coefficients normalize once at the top. A tier's leaves are one
+/// contiguous run of `owners`, because trees are laid out in device order.
+/// A single tier is exactly the flat gather → scale → scatter → scale
+/// sequence, so flat mode keeps the seed op sequence — and its bitstream —
+/// untouched. A tier without a surviving leaf adds no op; with none at all
+/// the empty pool scatters to zero.
+fn pool_tiers(
     tape: &mut Tape,
     h_tree: VarId,
     num_vertices: usize,
     pool: &PoolArrays,
-    topo: &Topology,
-) -> Option<VarId> {
+    tier_ends: &[u32],
+) -> VarId {
     let mut server_sum: Option<VarId> = None;
     let mut lo = 0usize;
-    for (_, members) in topo.ranges() {
-        let hi = lo + pool.owners[lo..].partition_point(|&o| o < members.end);
+    for &end in tier_ends {
+        let hi = lo + pool.owners[lo..].partition_point(|&o| o < end);
         if lo == hi {
             continue;
         }
         let mut leaves = tape.gather_rows(h_tree, Rc::new(pool.leaves[lo..hi].to_vec()));
+        // Fractional staleness weights insert one extra per-leaf scale
+        // between gather and scatter; uniform pools skip it.
         if let Some(w) = &pool.leaf_weights {
             leaves = tape.scale_rows(leaves, Rc::new(w[lo..hi].to_vec()));
         }
-        let partial = tape.scatter_add_rows(
-            leaves,
-            Rc::new(pool.vertices[lo..hi].to_vec()),
-            num_vertices,
-        );
+        let vertices = Rc::new(pool.vertices[lo..hi].to_vec());
+        let partial = tape.scatter_add_rows(leaves, vertices, num_vertices);
         server_sum = Some(match server_sum {
             Some(acc) => tape.add(acc, partial),
             None => partial,
         });
         lo = hi;
     }
-    server_sum.map(|s| tape.scale_rows(s, pool.coeff.clone()))
-}
-
-/// Evaluation on the validation or test split (no dropout).
-#[allow(clippy::too_many_arguments)]
-fn evaluate(
-    store: &ParamStore,
-    encoder: &GnnEncoder,
-    decoder: Option<&LinearDecoder>,
-    batch: &BatchedTrees,
-    ds: &Dataset,
-    cfg: &LumosConfig,
-    node_split: Option<&NodeSplit>,
-    edge_split: Option<&EdgeSplit>,
-    test: bool,
-    rng: &mut Xoshiro256pp,
-) -> f64 {
-    let mut tape = Tape::new();
-    // Evaluation is offline: every device's embedding participates, and
-    // the pooling runs server-side — no aggregation tier on the wire.
-    let full_pool = batch.masked_pool(&[]);
-    let h = forward_pooled(
-        &mut tape, store, encoder, batch, false, rng, &full_pool, None,
-    );
-    match cfg.task {
-        TaskKind::Supervised => {
-            let split = node_split.expect("supervised split");
-            let mask = if test {
-                &split.test_mask
-            } else {
-                &split.val_mask
-            };
-            let dec = decoder.expect("supervised head");
-            let logits = dec.forward(&mut tape, store, h);
-            accuracy_masked(tape.value(logits), &ds.labels, mask)
-        }
-        TaskKind::Unsupervised => {
-            let split = edge_split.expect("unsupervised split");
-            let (pos, neg) = if test {
-                (&split.test_edges, &split.test_negatives)
-            } else {
-                (&split.val_edges, &split.val_negatives)
-            };
-            let score = |pairs: &[(u32, u32)], tape: &mut Tape| -> Vec<f32> {
-                let src: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(u, _)| u).collect());
-                let dst: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(_, v)| v).collect());
-                let z = link_logits(tape, h, src, dst);
-                tape.value(z).data().to_vec()
-            };
-            let pos_scores = score(pos, &mut tape);
-            let neg_scores = score(neg, &mut tape);
-            roc_auc(&pos_scores, &neg_scores)
-        }
-    }
+    let sum = server_sum.unwrap_or_else(|| {
+        let none = tape.gather_rows(h_tree, pool.leaves.clone());
+        tape.scatter_add_rows(none, pool.vertices.clone(), num_vertices)
+    });
+    tape.scale_rows(sum, pool.coeff.clone())
 }
 
 /// Records the inter-device messages one training epoch incurs (§VI-B/C):
@@ -813,67 +924,55 @@ fn evaluate(
 /// * finally every device ships its loss/gradient contribution to the
 ///   aggregation point.
 ///
-/// Devices in `late` missed the aggregation deadline: their updates never
-/// reached anyone this round, so none of their outbound messages are
-/// accounted here (messages *to* them still are — their senders paid
-/// either way). Under the buffered policy `deferred` collects those
-/// silenced sends so the runtime can re-inject them in the round where
-/// they actually arrive. Devices in `absent` are churned out entirely:
-/// they send nothing, now or later.
+/// Only devices the `verdict` pools send on this ledger (messages *to* the
+/// others still count — their senders paid either way). Parked devices'
+/// sends are returned instead, so the runtime can re-inject them in the
+/// round where they actually arrive; dropped devices send nothing, now or
+/// later.
 ///
 /// With a topology the final aggregation tier routes through it: each
 /// surviving device uploads to its own aggregator (same cost to the
 /// device as a server upload) and every aggregator forwards exactly one
 /// pooled partial to the server — per-round server traffic is
-/// O(aggregators), not O(devices). A buffered-policy deferral still
+/// O(aggregators), not O(devices). A parked device's deferred upload still
 /// targets the server directly: a stale partial arrives after its shard's
 /// round already closed, so it skips the aggregator tier on re-injection.
-#[allow(clippy::too_many_arguments)]
 fn record_epoch_messages(
+    net: &mut SimNetwork,
+    verdict: &RoundVerdict,
     trees: &[DeviceTree],
     cfg: &LumosConfig,
-    net: &mut SimNetwork,
     edge_split: Option<&EdgeSplit>,
-    late: &[u32],
-    absent: &[u32],
-    mut deferred: Option<&mut Vec<(u32, u32, u64)>>,
     topo: Option<&Topology>,
-) {
-    let mut silenced = vec![false; trees.len()];
-    let mut parked = vec![false; trees.len()];
-    for &d in absent {
-        silenced[d as usize] = true;
-    }
-    for &d in late {
-        silenced[d as usize] = true;
-        parked[d as usize] = true;
-    }
+) -> Vec<DeferredSend> {
+    let mut deferred = Vec::new();
+    let mut send = |net: &mut SimNetwork, from: u32, to: u32| {
+        if verdict.admits(from, to, &mut deferred) {
+            net.send(from, to, EMBEDDING_BYTES);
+        }
+    };
     for tree in trees {
-        let u = tree.center;
         for &v in &tree.neighbors {
             // Leaf embedding u → owner v after the l-layer update.
-            route_message(net, &mut deferred, &silenced, &parked, u, v);
+            send(net, tree.center, v);
         }
     }
     net.round();
-    if cfg.task == TaskKind::Unsupervised {
-        // Positive fetches: each training edge's embedding crosses once;
-        // negatives are requested per sampled pair.
-        if let Some(split) = edge_split {
-            for &(u, v) in &split.train_edges {
-                route_message(net, &mut deferred, &silenced, &parked, v, u);
-            }
-            let neg_count = split.train_edges.len() * cfg.negatives_per_positive;
-            for i in 0..neg_count {
-                // Negative-sample embedding transfers (uniformly attributed).
-                let from = (i % trees.len()) as u32;
-                let to = ((i / 2) % trees.len()) as u32;
-                if from == to {
-                    // A device already holds its own embedding — a
-                    // self-addressed fetch never crosses the wire.
-                    continue;
-                }
-                route_message(net, &mut deferred, &silenced, &parked, from, to);
+    // Link prediction: positive fetches cross once per training edge;
+    // negatives are requested per sampled pair.
+    if let Some(split) = edge_split {
+        for &(u, v) in &split.train_edges {
+            send(net, v, u);
+        }
+        let neg_count = split.train_edges.len() * cfg.negatives_per_positive;
+        for i in 0..neg_count {
+            // Negative-sample embedding transfers (uniformly attributed).
+            let from = (i % trees.len()) as u32;
+            let to = ((i / 2) % trees.len()) as u32;
+            // A device already holds its own embedding — a self-addressed
+            // fetch never crosses the wire.
+            if from != to {
+                send(net, from, to);
             }
         }
         net.round();
@@ -882,70 +981,26 @@ fn record_epoch_messages(
     // the server directly in flat mode, to the device's own aggregator
     // (then one partial per aggregator up to the server) in hierarchical
     // mode.
-    match topo {
-        Some(topo) => {
-            for v in 0..trees.len() as u32 {
-                if silenced[v as usize] {
-                    if parked[v as usize] {
-                        if let Some(buf) = deferred.as_deref_mut() {
-                            buf.push((v, SimNetwork::SERVER, EMBEDDING_BYTES));
-                        }
-                    }
-                    continue;
-                }
-                net.send_to_aggregator(v, EMBEDDING_BYTES);
-            }
-            for shard in 0..topo.num_aggregators() as u32 {
-                // An outage-covered aggregator ships nothing: its members
-                // were re-homed to the successor, whose own (merged)
-                // partial is sent above.
-                if net.rehome_target(shard) != shard {
-                    continue;
-                }
-                net.send_aggregator_to_server(shard, EMBEDDING_BYTES);
+    for v in 0..trees.len() as u32 {
+        if verdict.admits(v, SimNetwork::SERVER, &mut deferred) {
+            match topo {
+                Some(_) => net.send_to_aggregator(v, EMBEDDING_BYTES),
+                None => net.send_to_server(v, EMBEDDING_BYTES),
             }
         }
-        None => {
-            for v in 0..trees.len() as u32 {
-                route_message(
-                    net,
-                    &mut deferred,
-                    &silenced,
-                    &parked,
-                    v,
-                    SimNetwork::SERVER,
-                );
+    }
+    if let Some(topo) = topo {
+        for shard in 0..topo.num_aggregators() as u32 {
+            // An outage-covered aggregator ships nothing: its members were
+            // re-homed to the successor, whose own (merged) partial is
+            // sent here.
+            if net.rehome_target(shard) == shard {
+                net.send_aggregator_to_server(shard, EMBEDDING_BYTES);
             }
         }
     }
     net.round();
-}
-
-/// Routes one protocol message: silenced senders contribute nothing to the
-/// live ledger; the parked subset (deadline-late, not churn-absent) is
-/// additionally captured in `deferred` for later re-injection when the
-/// buffered policy is collecting.
-fn route_message(
-    net: &mut SimNetwork,
-    deferred: &mut Option<&mut Vec<(u32, u32, u64)>>,
-    silenced: &[bool],
-    parked: &[bool],
-    from: u32,
-    to: u32,
-) {
-    if silenced[from as usize] {
-        if parked[from as usize] {
-            if let Some(buf) = deferred.as_deref_mut() {
-                buf.push((from, to, EMBEDDING_BYTES));
-            }
-        }
-        return;
-    }
-    if to == SimNetwork::SERVER {
-        net.send_to_server(from, EMBEDDING_BYTES);
-    } else {
-        net.send(from, to, EMBEDDING_BYTES);
-    }
+    deferred
 }
 
 #[cfg(test)]
@@ -1001,6 +1056,19 @@ mod tests {
         let first = report.history.first().unwrap().loss;
         let last = report.history.last().unwrap().loss;
         assert!(last < first, "loss {first} → {last} must decrease");
+    }
+
+    #[test]
+    fn zero_eval_every_evaluates_at_the_final_epoch_only() {
+        // Regression: `eval_every = 0` used to panic with a remainder by
+        // zero on the first epoch.
+        let ds = Dataset::facebook_like(Scale::Smoke);
+        let mut cfg = smoke_config(TaskKind::Supervised).with_epochs(3);
+        cfg.eval_every = 0;
+        let report = run_lumos(&ds, &cfg);
+        let epochs: Vec<usize> = report.history.iter().map(|m| m.epoch).collect();
+        assert_eq!(epochs, vec![2]);
+        assert_eq!(report.best_val_metric, report.history[0].val_metric);
     }
 
     #[test]
@@ -1240,7 +1308,14 @@ mod tests {
         let cfg = LumosConfig::new(lumos_gnn::Backbone::Gcn, TaskKind::Unsupervised);
         let mut net = SimNetwork::new(n);
         let snap = net.snapshot();
-        record_epoch_messages(&trees, &cfg, &mut net, Some(&split), &[], &[], None, None);
+        record_epoch_messages(
+            &mut net,
+            &RoundVerdict::everyone(n),
+            &trees,
+            &cfg,
+            Some(&split),
+            None,
+        );
         let edges = net.sent_matrix_since(&snap);
         assert!(!edges.is_empty());
         for ((from, to), _) in edges {

@@ -19,13 +19,14 @@
 //! is carried to the next round at full weight — nothing is dropped and
 //! nothing is discounted.
 //!
-//! Since the event-driven refactor each policy is also expressible as an
-//! *event handler* ([`RoundPolicy`]): subscribed to an
-//! [`EventDrivenRuntime`] run, it judges each update as its landing event
-//! pops and, for `Async`, closes the round from inside the event stream.
-//! The post-hoc path ([`AggregationPolicy::late_with_staleness`]) computes
-//! the identical sets from the finished timing signal, which is what makes
-//! the lockstep and event-driven runtimes bit-interchangeable.
+//! The trainer runs each policy as an *event handler* ([`RoundPolicy`]):
+//! subscribed to an [`EventDrivenRuntime`] run, it judges each update as
+//! its landing event pops and, for `Async`, closes the round from inside
+//! the event stream. The post-hoc functions
+//! ([`AggregationPolicy::late_devices`],
+//! [`AggregationPolicy::late_with_staleness`]) compute the same verdicts
+//! from a finished round's timing signal. They are the reference oracles
+//! the handlers are tested against.
 
 use crate::epoch::EpochStats;
 use crate::queue::VirtualTime;
@@ -101,7 +102,7 @@ impl AggregationPolicy {
 
     /// Checks the policy's parameters; call at configuration time so a bad
     /// deadline fails fast instead of mid-training (or never, when no
-    /// scenario means [`AggregationPolicy::late_devices`] is never hit).
+    /// scenario means no round is ever judged).
     ///
     /// # Panics
     /// Panics if a deadline factor is not finite or is below 1 (a factor

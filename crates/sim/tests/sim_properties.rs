@@ -303,8 +303,8 @@ proptest! {
     /// The arrival-time handler is the post-hoc policy: for any fleet and
     /// any policy, judging updates as their landing events pop yields the
     /// exact `(device, staleness)` pairs the finished-round computation
-    /// does. This is the seam that makes the lockstep and event-driven
-    /// trainer probes interchangeable.
+    /// does. The post-hoc cut is the reference oracle for the handler the
+    /// trainer's probe runs.
     #[test]
     fn round_policy_verdicts_equal_the_post_hoc_cut(
         seed in any::<u64>(), n in 1usize..32, factor in 1.0f64..4.0,

@@ -6,9 +6,10 @@ use lumos_sim::{
 
 use crate::topology::Topology;
 
-/// Applies `policy.late_with_staleness` independently per shard: each
-/// aggregator measures its own members' delivery times against its own
-/// local median deadline, exactly as the server does globally in the
+/// The post-hoc sharded cut, kept as the reference oracle for
+/// [`ShardRoundPolicies`]: `policy.late_with_staleness` applied per shard.
+/// Each aggregator measures its own members' delivery times against its
+/// own local median deadline, exactly as the server does globally in the
 /// flat path. Returns the union of every shard's `(device, staleness)`
 /// verdicts, sorted by device id.
 ///
@@ -52,9 +53,9 @@ pub fn shard_late_with_staleness(
 /// The sharded counterpart of [`RoundPolicy`]: one arrival-time handler
 /// per aggregator, each judging only its members against its shard-local
 /// median, all subscribed to a single [`EventDrivenRuntime`] run. The
-/// merged verdicts equal [`shard_late_with_staleness`] on the finished
-/// round — the hierarchical half of the lockstep ⇄ event-driven
-/// equivalence.
+/// merged verdicts equal the reference oracle [`shard_late_with_staleness`]
+/// on the finished round (pinned by
+/// `shard_round_policies_match_the_post_hoc_path` below).
 ///
 /// [`AggregationPolicy::Async`] is handled as one *global* policy (the
 /// quorum belongs to the server, not to any aggregator), matching the

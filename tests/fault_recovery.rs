@@ -15,7 +15,10 @@
 //!    sum-conserving, so the learned model is bit-identical to the same
 //!    faulted run without the outage.
 
-use lumos::core::{run_lumos, LumosConfig, RunReport, TaskKind};
+mod common;
+
+use common::assert_reports_identical;
+use lumos::core::{run_lumos, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
 use lumos::sim::{FaultSpec, OutageWindow, RecoveryPolicy, Scenario, HARD_RETRY_CAP};
@@ -27,32 +30,6 @@ fn base_config(seed: u64) -> LumosConfig {
         .with_epochs(4)
         .with_mcmc_iterations(10)
         .with_seed(seed)
-}
-
-/// Every deterministic field of the two reports, bitwise. Wall-clock
-/// fields are the only exempt ones.
-fn assert_reports_identical(a: &RunReport, b: &RunReport) {
-    assert_eq!(a.test_metric.to_bits(), b.test_metric.to_bits());
-    assert_eq!(a.best_val_metric.to_bits(), b.best_val_metric.to_bits());
-    assert_eq!(a.history.len(), b.history.len());
-    for (ha, hb) in a.history.iter().zip(&b.history) {
-        assert_eq!(
-            ha.loss.to_bits(),
-            hb.loss.to_bits(),
-            "loss diverged at epoch {}",
-            ha.epoch
-        );
-        assert_eq!(ha.val_metric.to_bits(), hb.val_metric.to_bits());
-    }
-    assert_eq!(
-        a.avg_messages_per_device_per_epoch.to_bits(),
-        b.avg_messages_per_device_per_epoch.to_bits()
-    );
-    assert_eq!(
-        a.avg_epoch_makespan.to_bits(),
-        b.avg_epoch_makespan.to_bits()
-    );
-    assert_eq!(a.sim, b.sim, "simulation summaries must agree exactly");
 }
 
 const PRESETS: [Scenario; 4] = [
