@@ -67,7 +67,7 @@ impl BatchedTrees {
 
     /// The unmasked POOL arrays: every leaf at weight 1, sharing the
     /// batch's own allocations.
-    pub fn full_pool(&self) -> PoolArrays {
+    pub(crate) fn full_pool(&self) -> PoolArrays {
         PoolArrays {
             leaves: self.pool_leaves.clone(),
             vertices: self.pool_vertices.clone(),
